@@ -2,8 +2,9 @@
 // subscription CDC pipeline: resource agents publish typed data-change
 // events into a Hub, and the Hub routes each event to the standing
 // queries it can affect — matched by changed class and by overlap between
-// the subscription's pushable constraint region and the change's region —
-// then hands batches to per-subscriber sender goroutines.
+// the subscription's pushable constraint region and the change's region,
+// found through one constraint.Index per class — then hands batches to
+// per-subscriber sender goroutines.
 //
 // The design goals, in order:
 //
@@ -44,7 +45,15 @@ var (
 		"Change events dropped because the subscription was already closed.")
 	mSenders = telemetry.Default.Gauge("infosleuth_broadcast_active_senders",
 		"Per-subscriber sender goroutines currently active across all hubs.")
+	mProbeCandidates = telemetry.Default.Counter("infosleuth_broadcast_probe_candidates_total",
+		"Subscriptions the class region indexes returned for an exact overlap test.")
+	mProbeVisits = telemetry.Default.Counter("infosleuth_broadcast_probe_visits_total",
+		"Class region index entries read while routing change events.")
 )
+
+// probeBufs recycles Publish's candidate buffers, keeping routing
+// allocation-free in the steady state.
+var probeBufs = sync.Pool{New: func() any { return new([]*Sub) }}
 
 // Event is one typed data-change notice flowing through a hub.
 type Event struct {
@@ -106,14 +115,15 @@ const DefaultQueueCap = 64
 
 // Hub routes published events to subscriptions.
 type Hub struct {
-	opts Options
-	seq  atomic.Uint64
-	busy atomic.Int64
+	opts   Options
+	seq    atomic.Uint64
+	busy   atomic.Int64
+	visits atomic.Uint64
 
 	mu sync.RWMutex
-	// byClass holds the indexed tier: subscriptions registered for
-	// specific classes, keyed by lowercased class name then sub ID.
-	byClass map[string]map[string]*Sub
+	// byClass holds the indexed tier: per lowercased class name, the
+	// subscriptions registered for it, indexed by their regions.
+	byClass map[string]*constraint.Index[*Sub]
 	// all holds the evaluate-all tier: subscriptions whose queries could
 	// not be indexed; they receive every event.
 	all    map[string]*Sub
@@ -127,7 +137,7 @@ func New(opts Options) *Hub {
 	}
 	return &Hub{
 		opts:    opts,
-		byClass: make(map[string]map[string]*Sub),
+		byClass: make(map[string]*constraint.Index[*Sub]),
 		all:     make(map[string]*Sub),
 	}
 }
@@ -172,23 +182,26 @@ func (h *Hub) Subscribe(id string, classes []string, region *constraint.Set, del
 		return s
 	}
 	for _, c := range s.classes {
-		m := h.byClass[c]
-		if m == nil {
-			m = make(map[string]*Sub)
-			h.byClass[c] = m
+		idx := h.byClass[c]
+		if idx == nil {
+			idx = constraint.NewIndex[*Sub]()
+			h.byClass[c] = idx
 		}
-		m[id] = s
+		idx.Remove(id) // a re-subscription replaces the old entry
+		idx.Insert(id, s, region)
 	}
 	return s
 }
 
 // Publish routes an event: subscriptions indexed under the event's class
 // whose region overlaps the change are enqueued, the evaluate-all tier is
-// always enqueued, and everything else is skipped without work. It
-// returns how many subscriptions were enqueued and how many indexed
-// subscriptions were skipped by the region test — the re-evaluations the
-// legacy evaluate-all path would have performed. An event with an empty
-// Class enqueues every subscription. Publish never blocks on delivery.
+// always enqueued, and everything else is skipped without work. The
+// class's region index narrows the subscriptions to test, and
+// Set.Overlaps decides exactly. It returns how many subscriptions were
+// enqueued and how many indexed subscriptions on the class were skipped
+// by the region test — the re-evaluations the legacy evaluate-all path
+// would have performed. An event with an empty Class enqueues every
+// subscription. Publish never blocks on delivery.
 func (h *Hub) Publish(ev Event) (matched, skipped int) {
 	ev.Seq = h.seq.Add(1)
 	mEvents.Inc()
@@ -199,27 +212,38 @@ func (h *Hub) Publish(ev Event) (matched, skipped int) {
 	}
 	if ev.Class == "" {
 		// Unknown extent: every subscription must re-evaluate.
-		for _, byID := range h.byClass {
-			for _, s := range byID {
+		for _, idx := range h.byClass {
+			idx.Range(func(_ string, s *Sub) bool {
 				if s.offer(ev) {
 					matched++
 				}
-			}
+				return true
+			})
 		}
-	} else {
-		for _, s := range h.byClass[ev.Class] {
+	} else if idx := h.byClass[ev.Class]; idx != nil {
+		buf := probeBufs.Get().(*[]*Sub)
+		subs, visited := idx.Probe(ev.Region, (*buf)[:0])
+		h.visits.Add(uint64(visited))
+		mProbeVisits.Add(int64(visited))
+		mProbeCandidates.Add(int64(len(subs)))
+		overlapping := 0
+		for _, s := range subs {
 			// The subscription's region and the change's region overlap
 			// when every field both constrain admits a common value; a
 			// disjoint field proves the changed rows cannot satisfy the
 			// standing query's WHERE clause, so its answer is unchanged.
 			if !s.region.Overlaps(ev.Region) {
-				skipped++
 				continue
 			}
+			overlapping++
 			if s.offer(ev) {
 				matched++
 			}
 		}
+		skipped = idx.Len() - overlapping
+		clear(subs)
+		*buf = subs[:0]
+		probeBufs.Put(buf)
 	}
 	for _, s := range h.all {
 		if s.offer(ev) {
@@ -254,12 +278,13 @@ func (h *Hub) Close() {
 	for _, s := range h.all {
 		subs = append(subs, s)
 	}
-	for _, byID := range h.byClass {
-		for _, s := range byID {
+	for _, idx := range h.byClass {
+		idx.Range(func(_ string, s *Sub) bool {
 			subs = append(subs, s)
-		}
+			return true
+		})
 	}
-	h.byClass = make(map[string]map[string]*Sub)
+	h.byClass = make(map[string]*constraint.Index[*Sub])
 	h.all = make(map[string]*Sub)
 	h.closed = true
 	h.mu.Unlock()
@@ -282,6 +307,9 @@ type Stats struct {
 	Subscribers int `json:"subscribers"`
 	// EvalAllTier counts subscriptions in the evaluate-all fallback tier.
 	EvalAllTier int `json:"eval_all_tier"`
+	// ProbeVisits counts region index entries read routing events, over
+	// the hub's lifetime.
+	ProbeVisits uint64 `json:"probe_visits"`
 }
 
 // Stats reports the hub's current state.
@@ -289,16 +317,18 @@ func (h *Hub) Stats() Stats {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	seen := make(map[string]bool)
-	for _, byID := range h.byClass {
-		for id := range byID {
+	for _, idx := range h.byClass {
+		idx.Range(func(id string, _ *Sub) bool {
 			seen[id] = true
-		}
+			return true
+		})
 	}
 	return Stats{
 		Seq:           h.seq.Load(),
 		ActiveSenders: h.busy.Load(),
 		Subscribers:   len(seen) + len(h.all),
 		EvalAllTier:   len(h.all),
+		ProbeVisits:   h.visits.Load(),
 	}
 }
 
@@ -323,10 +353,12 @@ func (s *Sub) Close() {
 	h.mu.Lock()
 	delete(h.all, s.id)
 	for _, c := range s.classes {
-		if byID := h.byClass[c]; byID != nil && byID[s.id] == s {
-			delete(byID, s.id)
-			if len(byID) == 0 {
-				delete(h.byClass, c)
+		if idx := h.byClass[c]; idx != nil {
+			if cur, ok := idx.Get(s.id); ok && cur == s {
+				idx.Remove(s.id)
+				if idx.Len() == 0 {
+					delete(h.byClass, c)
+				}
 			}
 		}
 	}

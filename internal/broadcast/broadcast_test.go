@@ -128,7 +128,7 @@ func TestCoalesceToLatestUnderLoad(t *testing.T) {
 	_ = sub
 	var slow *Sub
 	h.mu.RLock()
-	slow = h.byClass["c2"]["slow"]
+	slow, _ = h.byClass["c2"].Get("slow")
 	h.mu.RUnlock()
 	queued, coalesced, dropped := slow.QueueStats()
 	if queued != 2 || coalesced != 1 || dropped != 0 {

@@ -237,15 +237,7 @@ func (b *Broker) Repository() *Repository { return b.repo }
 func (b *Broker) Advertisement() *ontology.Advertisement {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	types := make(map[ontology.AgentType]bool)
-	for _, ad := range b.repo.snapshot() {
-		types[ad.Type] = true
-	}
-	var typeList []ontology.AgentType
-	for t := range types {
-		typeList = append(typeList, t)
-	}
-	sort.Slice(typeList, func(i, j int) bool { return typeList[i] < typeList[j] })
+	typeList := b.repo.agentTypes()
 	return &ontology.Advertisement{
 		Name:             b.cfg.Name,
 		Address:          b.Addr(),

@@ -382,12 +382,13 @@ func canonicalQuery(q *ontology.Query) string {
 	b.WriteString(strings.ToLower(q.ContentLanguage))
 	b.WriteString(";al=")
 	b.WriteString(strings.ToLower(q.CommLanguage))
-	writeSortedList(&b, ";cv=", q.Conversations)
-	writeSortedList(&b, ";cap=", q.Capabilities)
+	writeSortedList(&b, ";cv=", q.Conversations, true)
+	writeSortedList(&b, ";cap=", q.Capabilities, true)
 	b.WriteString(";o=")
 	b.WriteString(strings.ToLower(q.Ontology))
-	writeSortedList(&b, ";cls=", q.Classes)
-	writeSortedList(&b, ";sl=", q.Slots)
+	// Classes compare exactly in matching, so their case stays.
+	writeSortedList(&b, ";cls=", q.Classes, false)
+	writeSortedList(&b, ";sl=", q.Slots, true)
 	b.WriteString(";con=")
 	if q.Constraints.Len() > 0 {
 		// Set.String renders atoms in sorted field order: deterministic.
@@ -407,21 +408,25 @@ func canonicalQuery(q *ontology.Query) string {
 	return b.String()
 }
 
-// writeSortedList appends a case-folded, sorted rendering of a
-// requirement list, so semantically identical queries share a key
-// regardless of declaration order.
-func writeSortedList(b *strings.Builder, prefix string, vals []string) {
+// writeSortedList appends a sorted rendering of a requirement list,
+// case-folded when fold is set, so semantically identical queries share a
+// key regardless of declaration order.
+func writeSortedList(b *strings.Builder, prefix string, vals []string, fold bool) {
 	b.WriteString(prefix)
 	if len(vals) == 0 {
 		return
 	}
+	norm := strings.ToLower
+	if !fold {
+		norm = func(s string) string { return s }
+	}
 	if len(vals) == 1 {
-		b.WriteString(strings.ToLower(vals[0]))
+		b.WriteString(norm(vals[0]))
 		return
 	}
 	sorted := make([]string, len(vals))
 	for i, v := range vals {
-		sorted[i] = strings.ToLower(v)
+		sorted[i] = norm(v)
 	}
 	sort.Strings(sorted)
 	for i, v := range sorted {

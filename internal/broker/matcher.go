@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,7 +38,7 @@ type shardMatcher interface {
 }
 
 // DirectMatcher evaluates ontology.Match over the repository's index-
-// narrowed candidates.
+// narrowed candidates (Repository.matchCandidates).
 type DirectMatcher struct {
 	World *ontology.World
 }
@@ -47,13 +48,7 @@ func (m *DirectMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology.
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	cands := repo.candidates(q)
-	out := make([]*ontology.Advertisement, 0, len(cands))
-	for _, ad := range cands {
-		if ontology.Match(m.World, ad, q) == ontology.Matched {
-			out = append(out, ad)
-		}
-	}
+	out := m.verify(repo.matchCandidates(m.World, q), q)
 	rankMatches(m.World, out, q)
 	return out, nil
 }
@@ -62,14 +57,21 @@ func (m *DirectMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology.
 // leaving ranking to the caller's final pass over the assembled union.
 // The query has already been validated by the caller.
 func (m *DirectMatcher) matchShard(repo *Repository, shard int, q *ontology.Query) ([]*ontology.Advertisement, error) {
-	cands := repo.shardCandidates(shard, q)
-	out := make([]*ontology.Advertisement, 0, len(cands))
+	return m.verify(repo.shardMatchCandidates(shard, m.World, q), q), nil
+}
+
+// verify returns the candidates ontology.Match accepts, in a slice sized
+// to them: the match cache keeps it, so it must not pin the candidate
+// slice's larger backing array.
+func (m *DirectMatcher) verify(cands []*ontology.Advertisement, q *ontology.Query) []*ontology.Advertisement {
+	mMatchCandidates.Add(int64(len(cands)))
+	out := cands[:0]
 	for _, ad := range cands {
 		if ontology.Match(m.World, ad, q) == ontology.Matched {
 			out = append(out, ad)
 		}
 	}
-	return out, nil
+	return slices.Clone(out)
 }
 
 func (m *DirectMatcher) world() *ontology.World { return m.World }

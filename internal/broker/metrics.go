@@ -58,6 +58,15 @@ var (
 		"Cached per-shard partials evicted by a shard cache's LRU capacity bound.")
 	mShardParallelGathers = telemetry.Default.Counter("infosleuth_broker_shard_parallel_gathers_total",
 		"Uncached candidate gathers fanned out across shards by the bounded worker pool.")
+
+	// Matchmaking work: candidates are the advertisements the indexes
+	// hand to the full semantic match, probe visits the class/region
+	// index entries read to find them. Their ratio to matches shows how
+	// much of the repository a search still touches.
+	mMatchCandidates = telemetry.Default.Counter("infosleuth_broker_match_candidates_total",
+		"Advertisements the repository indexes handed to the full semantic match.")
+	mRegionProbeVisits = telemetry.Default.Counter("infosleuth_broker_region_probe_visits_total",
+		"Class/region index entries read by repository probes.")
 )
 
 // ShardCacheStats snapshots the process-wide per-shard cache counters,

@@ -8,11 +8,13 @@ package broker
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"infosleuth/internal/constraint"
 	"infosleuth/internal/ontology"
 )
 
@@ -42,25 +44,37 @@ type repoShard struct {
 	// shard.
 	gen atomic.Uint64
 
-	// Secondary indexes: value → set of agent keys.
+	// Secondary indexes: value → set of agent keys, and per lower-cased
+	// ontology its class/region indexes.
 	byType     map[ontology.AgentType]map[string]bool
-	byOntology map[string]map[string]bool
+	byOntology map[string]classIndexes
 	byLanguage map[string]map[string]bool
 }
+
+// classIndexes holds one ontology's constraint-region indexes, one per
+// served class name (compared exactly, as ontology.Match compares
+// classes). An advertisement serving the class through any of its
+// fragments in the ontology is filed there under the regions of all
+// those fragments, because ontology.Match admits it when any fragment of
+// the ontology overlaps the query's constraints, whichever fragment
+// serves the class. Every fragment serves some class (Validate), so the
+// members of an ontology's indexes are exactly the ads supporting it.
+type classIndexes map[string]*constraint.Index[*ontology.Advertisement]
 
 func newRepoShard() *repoShard {
 	return &repoShard{
 		ads:        make(map[string]*ontology.Advertisement),
 		byType:     make(map[ontology.AgentType]map[string]bool),
-		byOntology: make(map[string]map[string]bool),
+		byOntology: make(map[string]classIndexes),
 		byLanguage: make(map[string]map[string]bool),
 	}
 }
 
 // Repository stores advertisements with secondary indexes on agent type,
-// supported ontology and content language, so matchmaking intersects index
-// hits before running the full semantic match. It is safe for concurrent
-// use.
+// supported ontology and content language, plus one constraint-region
+// index per (ontology, served class), so matchmaking runs the full
+// semantic match only on the advertisements the indexes admit. It is safe
+// for concurrent use.
 //
 // The repository is partitioned into shards addressed by the capability
 // hash of the advertisement — the FNV-1a hash of its lower-cased agent
@@ -68,8 +82,8 @@ func newRepoShard() *repoShard {
 // region cannot participate in shard addressing because Remove/Get/
 // Contains look advertisements up by name alone; a name→shard directory
 // would reintroduce the global serialization point sharding exists to
-// remove. Region locality instead lives in each shard's byOntology
-// index.) Put/Remove/Get touch exactly one shard; Search gathers
+// remove. Region locality instead lives in each shard's class/region
+// indexes.) Put/Remove/Get touch exactly one shard; Search gathers
 // candidates from all shards — in parallel through a bounded worker pool
 // when the shard count and GOMAXPROCS warrant it. A single-shard
 // repository (the default, and the Section 5 configuration) behaves
@@ -91,9 +105,8 @@ type Repository struct {
 	indexed bool
 
 	// snapshot memo: the sorted snapshot is recomputed only when the
-	// generation moved (the DatalogMatcher and the broker's
-	// self-advertisement summary call snapshot per operation, and used
-	// to pay a full sort every time even when nothing changed).
+	// generation moved (the DatalogMatcher calls snapshot per operation,
+	// and used to pay a full sort every time even when nothing changed).
 	snapMu  sync.Mutex
 	snapGen uint64
 	snap    []*ontology.Advertisement // nil = no memo
@@ -307,32 +320,63 @@ func (r *Repository) All() []*ontology.Advertisement {
 	return out
 }
 
-func (s *repoShard) indexTypeLocked(key string, ad *ontology.Advertisement) {
-	set, ok := s.byType[ad.Type]
+func (s *repoShard) indexLocked(key string, ad *ontology.Advertisement) {
+	addTo(s.byType, ad.Type, key)
+	for i := range ad.Content {
+		f := &ad.Content[i]
+		ont := strings.ToLower(f.Ontology)
+		classes := s.byOntology[ont]
+		if classes == nil {
+			classes = make(classIndexes)
+			s.byOntology[ont] = classes
+		}
+		for c, class := range f.Classes {
+			if servedBefore(ad, i, c) {
+				continue
+			}
+			idx := classes[class]
+			if idx == nil {
+				idx = constraint.NewIndex[*ontology.Advertisement]()
+				classes[class] = idx
+			}
+			for j := range ad.Content {
+				if strings.EqualFold(ad.Content[j].Ontology, f.Ontology) {
+					idx.Insert(key, ad, ad.Content[j].Constraints)
+				}
+			}
+		}
+	}
+	for _, l := range ad.ContentLanguages {
+		addTo(s.byLanguage, strings.ToLower(l), key)
+	}
+}
+
+func addTo[K comparable](m map[K]map[string]bool, val K, key string) {
+	set, ok := m[val]
 	if !ok {
 		set = make(map[string]bool)
-		s.byType[ad.Type] = set
+		m[val] = set
 	}
 	set[key] = true
 }
 
-func (s *repoShard) indexLocked(key string, ad *ontology.Advertisement) {
-	addTo := func(m map[string]map[string]bool, val string) {
-		val = strings.ToLower(val)
-		set, ok := m[val]
-		if !ok {
-			set = make(map[string]bool)
-			m[val] = set
+// servedBefore reports whether fragment i's c-th class was already met
+// earlier in the advertisement's fragments of the same ontology, so it is
+// filed once.
+func servedBefore(ad *ontology.Advertisement, i, c int) bool {
+	f := &ad.Content[i]
+	class := f.Classes[c]
+	for _, prev := range f.Classes[:c] {
+		if prev == class {
+			return true
 		}
-		set[key] = true
 	}
-	s.indexTypeLocked(key, ad)
-	for _, f := range ad.Content {
-		addTo(s.byOntology, f.Ontology)
+	for j := 0; j < i; j++ {
+		if strings.EqualFold(ad.Content[j].Ontology, f.Ontology) && ad.Content[j].HasClass(class) {
+			return true
+		}
 	}
-	for _, l := range ad.ContentLanguages {
-		addTo(s.byLanguage, l)
-	}
+	return false
 }
 
 func (s *repoShard) unindexLocked(key string) {
@@ -341,28 +385,73 @@ func (s *repoShard) unindexLocked(key string) {
 		return
 	}
 	delete(s.byType[ad.Type], key)
-	for _, f := range ad.Content {
-		delete(s.byOntology[strings.ToLower(f.Ontology)], key)
+	for i := range ad.Content {
+		f := &ad.Content[i]
+		ont := strings.ToLower(f.Ontology)
+		classes := s.byOntology[ont]
+		for _, class := range f.Classes {
+			if idx := classes[class]; idx != nil && idx.Remove(key) && idx.Len() == 0 {
+				delete(classes, class)
+			}
+		}
+		if classes != nil && len(classes) == 0 {
+			delete(s.byOntology, ont)
+		}
 	}
 	for _, l := range ad.ContentLanguages {
 		delete(s.byLanguage[strings.ToLower(l)], key)
 	}
 }
 
+// agentTypes returns the agent types with at least one advertisement,
+// sorted.
+func (r *Repository) agentTypes() []ontology.AgentType {
+	var out []ontology.AgentType
+	for _, s := range r.shards {
+		s.mu.RLock()
+		for t, set := range s.byType {
+			if len(set) > 0 && !slices.Contains(out, t) {
+				out = append(out, t)
+			}
+		}
+		s.mu.RUnlock()
+	}
+	slices.Sort(out)
+	return out
+}
+
 // candidates returns the advertisement pointers a query could match,
-// narrowed by the secondary indexes when possible. The returned ads are
-// the repository's immutable snapshots: callers must not mutate them.
-// The result order is unspecified — every caller (the matchers, the
-// provenance re-walk) re-orders deterministically, so candidates does
-// not pay for a sort of its own.
-//
-// On a multi-shard repository the per-shard gathers run through a
-// bounded worker pool when enough cores are available; each shard is
-// internally consistent under its own read lock, and no lock is held
-// across shards.
+// narrowed by the type, ontology and language indexes when possible — the
+// coarse set the provenance walk explains, rejected ads included. The
+// returned ads are the repository's immutable snapshots: callers must not
+// mutate them. The result order is unspecified — every caller (the
+// matchers, the provenance re-walk) re-orders deterministically, so
+// candidates does not pay for a sort of its own.
 func (r *Repository) candidates(q *ontology.Query) []*ontology.Advertisement {
+	return r.gather(func(s *repoShard) []*ontology.Advertisement { return s.candidates(q, r.indexed) })
+}
+
+// matchCandidates returns the advertisements worth running
+// ontology.Match on: the class/region index's candidates when the query
+// names a class and carries a bounded numeric constraint, else the
+// coarse candidates.
+func (r *Repository) matchCandidates(w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
+	return r.gather(func(s *repoShard) []*ontology.Advertisement { return s.matchCandidates(w, q, r.indexed) })
+}
+
+// shardMatchCandidates is matchCandidates for one shard — the per-shard
+// match cache's recompute unit.
+func (r *Repository) shardMatchCandidates(i int, w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
+	return r.shards[i].matchCandidates(w, q, r.indexed)
+}
+
+// gather concatenates one per-shard gather over every shard. On a
+// multi-shard repository the gathers run through a bounded worker pool
+// when enough cores are available; each shard is internally consistent
+// under its own read lock, and no lock is held across shards.
+func (r *Repository) gather(per func(*repoShard) []*ontology.Advertisement) []*ontology.Advertisement {
 	if len(r.shards) == 1 {
-		return r.shards[0].candidates(q, r.indexed)
+		return per(r.shards[0])
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(r.shards) {
@@ -374,7 +463,7 @@ func (r *Repository) candidates(q *ontology.Query) []*ontology.Advertisement {
 	if workers <= 1 {
 		var out []*ontology.Advertisement
 		for _, s := range r.shards {
-			out = append(out, s.candidates(q, r.indexed)...)
+			out = append(out, per(s)...)
 		}
 		return out
 	}
@@ -391,7 +480,7 @@ func (r *Repository) candidates(q *ontology.Query) []*ontology.Advertisement {
 				if i >= len(r.shards) {
 					return
 				}
-				results[i] = r.shards[i].candidates(q, r.indexed)
+				results[i] = per(r.shards[i])
 			}
 		}()
 	}
@@ -407,18 +496,60 @@ func (r *Repository) candidates(q *ontology.Query) []*ontology.Advertisement {
 	return out
 }
 
-// shardCandidates gathers one shard's candidates — the per-shard match
-// cache's recompute unit.
-func (r *Repository) shardCandidates(i int, q *ontology.Query) []*ontology.Advertisement {
-	return r.shards[i].candidates(q, r.indexed)
+// matchCandidates narrows one shard for matching. A query naming an
+// ontology and a class with a bounded numeric constraint probes the
+// region indexes of its first class and every served subclass of it
+// (ontology.Match admits an advertisement serving a subclass), on one
+// bounded field of the query's constraints; any ad the match accepts
+// serves that class and overlaps the query, so it is among the probed.
+// Other queries take the type/ontology/language path.
+func (s *repoShard) matchCandidates(w *ontology.World, q *ontology.Query, indexed bool) []*ontology.Advertisement {
+	if !indexed || q.Ontology == "" || len(q.Classes) == 0 || !q.Constraints.HasNumericBound() {
+		return s.candidates(q, indexed)
+	}
+	class := q.Classes[0]
+	ont := w.Ontology(q.Ontology)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []*ontology.Advertisement
+	visited, probed := 0, 0
+	for served, idx := range s.byOntology[strings.ToLower(q.Ontology)] {
+		if served != class && (ont == nil || !ont.IsSubclassOf(served, class)) {
+			continue
+		}
+		var n int
+		out, n = idx.Probe(q.Constraints, out)
+		visited += n
+		probed++
+	}
+	mRegionProbeVisits.Add(int64(visited))
+	if probed > 1 {
+		// An ad serving the class and a subclass sits in both indexes.
+		out = dedupeAds(out)
+	}
+	return out
 }
 
-// candidates narrows one shard's advertisements by its secondary
-// indexes. The output slice is sized by the post-intersection estimate
-// under an independence assumption (|A∩B| ≈ |A|·|B|/N), not by the
-// smallest index set — with several index sets the intersection is
-// usually far smaller than any one of them, and the old
-// len(smallest)-capacity slice wasted most of its backing array.
+// dedupeAds drops repeated advertisements, keeping first occurrences.
+func dedupeAds(ads []*ontology.Advertisement) []*ontology.Advertisement {
+	seen := make(map[*ontology.Advertisement]bool, len(ads))
+	out := ads[:0]
+	for _, ad := range ads {
+		if !seen[ad] {
+			seen[ad] = true
+			out = append(out, ad)
+		}
+	}
+	return out
+}
+
+// candidates narrows one shard's advertisements by its type and
+// language sets, keeping the ads that support the query's ontology; a
+// query constraining only the ontology takes its class indexes' members.
+// The output slice is sized by the post-intersection estimate under an
+// independence assumption (|A∩B| ≈ |A|·|B|/N), not by the smallest index
+// set — with several index sets the intersection is usually far smaller
+// than any one of them.
 func (s *repoShard) candidates(q *ontology.Query, indexed bool) []*ontology.Advertisement {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -429,48 +560,42 @@ func (s *repoShard) candidates(q *ontology.Query, indexed bool) []*ontology.Adve
 	if q.Type != ontology.TypeAny {
 		sets = append(sets, s.byType[q.Type])
 	}
-	if q.Ontology != "" {
-		sets = append(sets, s.byOntology[strings.ToLower(q.Ontology)])
-	}
 	if q.ContentLanguage != "" {
 		sets = append(sets, s.byLanguage[strings.ToLower(q.ContentLanguage)])
+	}
+	if q.Ontology != "" {
+		classes := s.byOntology[strings.ToLower(q.Ontology)]
+		if len(classes) == 0 {
+			return nil
+		}
+		if len(sets) == 0 {
+			// The ontology's ads are its class indexes' members.
+			var out []*ontology.Advertisement
+			for _, idx := range classes {
+				out, _ = idx.Probe(nil, out)
+			}
+			if len(classes) > 1 {
+				out = dedupeAds(out)
+			}
+			return out
+		}
 	}
 	if len(sets) == 0 {
 		return s.unsortedLocked()
 	}
-	smallest := sets[0]
-	if len(sets) == 1 {
-		out := make([]*ontology.Advertisement, 0, len(smallest))
-		for key := range smallest {
-			out = append(out, s.ads[key])
-		}
-		return out
-	}
 	// Intersect starting from the smallest set.
 	sort.Slice(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
-	smallest = sets[0]
-	est := intersectionEstimate(sets, len(s.ads))
-	out := make([]*ontology.Advertisement, 0, est)
-	if len(sets) == 2 {
-		// The common two-index case: one direct membership probe per
-		// key, no inner loop.
-		second := sets[1]
-		for key := range smallest {
-			if second[key] {
-				out = append(out, s.ads[key])
-			}
-		}
-		return out
-	}
-	rest := sets[1:]
+	out := make([]*ontology.Advertisement, 0, intersectionEstimate(sets, len(s.ads)))
 outer:
-	for key := range smallest {
-		for _, o := range rest {
+	for key := range sets[0] {
+		for _, o := range sets[1:] {
 			if !o[key] {
 				continue outer
 			}
 		}
-		out = append(out, s.ads[key])
+		if ad := s.ads[key]; q.Ontology == "" || ad.SupportsOntology(q.Ontology) {
+			out = append(out, ad)
+		}
 	}
 	return out
 }
@@ -498,10 +623,10 @@ func intersectionEstimate(sets []map[string]bool, total int) int {
 
 // snapshot returns every stored advertisement as shared immutable
 // snapshots, sorted by name. Package-internal: callers must not mutate
-// the ads or the slice (the DatalogMatcher's fact-assertion pass, the
-// broker's self-advertisement summary, Names/All). The sorted slice is
-// memoized per generation: repeated calls between mutations return the
-// same slice without re-collecting or re-sorting.
+// the ads or the slice (the DatalogMatcher's fact-assertion pass,
+// Names/All). The sorted slice is memoized per generation: repeated calls
+// between mutations return the same slice without re-collecting or
+// re-sorting.
 func (r *Repository) snapshot() []*ontology.Advertisement {
 	gen := r.Generation()
 	r.snapMu.Lock()

@@ -21,6 +21,7 @@ package constraint
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -401,7 +402,14 @@ func (a Atom) String() string {
 // same field are intersected). The zero value is the empty conjunction,
 // which admits everything.
 type Set struct {
-	atoms map[string]Atom
+	// atoms is sorted by field. Sets hold a handful of atoms, and every
+	// advertisement, query and standing query carries one, so a sorted
+	// slice beats a map on memory and on the merge walk Overlaps does.
+	atoms []Atom
+	// unsat records that some atom admits no value. Add is the only
+	// writer of atoms and only ever narrows them, so it keeps the flag
+	// exact and Unsatisfiable need not walk the atoms.
+	unsat bool
 }
 
 // NewSet returns a Set holding the given atoms.
@@ -413,16 +421,25 @@ func NewSet(atoms ...Atom) *Set {
 	return s
 }
 
+// find returns the position of field's atom, or where it would go.
+func (s *Set) find(field string) (int, bool) {
+	i := sort.Search(len(s.atoms), func(i int) bool { return s.atoms[i].Field >= field })
+	return i, i < len(s.atoms) && s.atoms[i].Field == field
+}
+
 // Add conjoins an atom into the set, intersecting with any existing atom on
 // the same field.
 func (s *Set) Add(a Atom) {
-	if s.atoms == nil {
-		s.atoms = make(map[string]Atom)
+	i, ok := s.find(a.Field)
+	if ok {
+		a = s.atoms[i].Intersect(a)
+		s.atoms[i] = a
+	} else {
+		s.atoms = slices.Insert(s.atoms, i, a)
 	}
-	if prev, ok := s.atoms[a.Field]; ok {
-		a = prev.Intersect(a)
+	if a.Empty() {
+		s.unsat = true
 	}
-	s.atoms[a.Field] = a
 }
 
 // Len returns the number of constrained fields.
@@ -438,8 +455,10 @@ func (s *Set) Atom(field string) (Atom, bool) {
 	if s == nil {
 		return Atom{}, false
 	}
-	a, ok := s.atoms[field]
-	return a, ok
+	if i, ok := s.find(field); ok {
+		return s.atoms[i], true
+	}
+	return Atom{}, false
 }
 
 // Fields returns the constrained field names in sorted order.
@@ -447,32 +466,35 @@ func (s *Set) Fields() []string {
 	if s == nil {
 		return nil
 	}
-	out := make([]string, 0, len(s.atoms))
-	for f := range s.atoms {
-		out = append(out, f)
+	out := make([]string, len(s.atoms))
+	for i, a := range s.atoms {
+		out[i] = a.Field
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Atoms returns the atoms in field order.
 func (s *Set) Atoms() []Atom {
-	fields := s.Fields()
-	out := make([]Atom, len(fields))
-	for i, f := range fields {
-		out[i] = s.atoms[f]
+	if s == nil {
+		return []Atom{}
 	}
-	return out
+	return append([]Atom{}, s.atoms...)
 }
 
 // Unsatisfiable reports whether some atom admits no value (the conjunction
 // is contradictory).
 func (s *Set) Unsatisfiable() bool {
+	return s != nil && s.unsat
+}
+
+// HasNumericBound reports whether some atom bounds its field's numeric
+// interval on at least one side — whether an Index can probe on the set.
+func (s *Set) HasNumericBound() bool {
 	if s == nil {
 		return false
 	}
 	for _, a := range s.atoms {
-		if a.Empty() {
+		if _, _, bounded := numericBounds(a); bounded {
 			return true
 		}
 	}
@@ -492,9 +514,20 @@ func (s *Set) Overlaps(o *Set) bool {
 	if s == nil || o == nil {
 		return true
 	}
-	for f, a := range s.atoms {
-		if b, ok := o.atoms[f]; ok && !a.Overlaps(b) {
-			return false
+	// Merge walk over the two field-sorted atom lists.
+	i, j := 0, 0
+	for i < len(s.atoms) && j < len(o.atoms) {
+		switch a, b := &s.atoms[i], &o.atoms[j]; {
+		case a.Field < b.Field:
+			i++
+		case a.Field > b.Field:
+			j++
+		default:
+			if !a.Overlaps(*b) {
+				return false
+			}
+			i++
+			j++
 		}
 	}
 	return true
@@ -510,8 +543,8 @@ func (s *Set) Covers(o *Set) bool {
 	if s == nil || s.Len() == 0 {
 		return true
 	}
-	for f, a := range s.atoms {
-		b, ok := o.atom(f)
+	for _, a := range s.atoms {
+		b, ok := o.Atom(a.Field)
 		if !ok {
 			return false
 		}
@@ -522,22 +555,14 @@ func (s *Set) Covers(o *Set) bool {
 	return true
 }
 
-func (s *Set) atom(field string) (Atom, bool) {
-	if s == nil {
-		return Atom{}, false
-	}
-	a, ok := s.atoms[field]
-	return a, ok
-}
-
 // Matches reports whether a concrete record (field → value) satisfies every
 // atom in the conjunction. Fields absent from the record fail their atoms.
 func (s *Set) Matches(record map[string]Value) bool {
 	if s == nil {
 		return true
 	}
-	for f, a := range s.atoms {
-		v, ok := record[f]
+	for _, a := range s.atoms {
+		v, ok := record[a.Field]
 		if !ok || !a.Matches(v) {
 			return false
 		}
@@ -549,12 +574,12 @@ func (s *Set) Matches(record map[string]Value) bool {
 func (s *Set) Clone() *Set {
 	out := &Set{}
 	if s != nil {
-		for _, a := range s.atoms {
-			cp := a
+		out.atoms = slices.Clone(s.atoms)
+		out.unsat = s.unsat
+		for i, a := range out.atoms {
 			if a.Allowed != nil {
-				cp.Allowed = append([]Value(nil), a.Allowed...)
+				out.atoms[i].Allowed = append([]Value{}, a.Allowed...)
 			}
-			out.Add(cp)
 		}
 	}
 	return out
@@ -565,9 +590,8 @@ func (s *Set) String() string {
 	if s.Len() == 0 {
 		return "(true)"
 	}
-	atoms := s.Atoms()
-	parts := make([]string, len(atoms))
-	for i, a := range atoms {
+	parts := make([]string, len(s.atoms))
+	for i, a := range s.atoms {
 		parts[i] = "(" + a.String() + ")"
 	}
 	return strings.Join(parts, " AND ")

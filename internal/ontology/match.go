@@ -167,12 +167,21 @@ func NewWorld(onts ...*Ontology) *World {
 	return w
 }
 
-// Ontology returns a domain ontology by name, or nil.
+// Ontology returns a domain ontology by name, compared case-insensitively
+// as advertised fragments' ontologies are, or nil.
 func (w *World) Ontology(name string) *Ontology {
 	if w == nil {
 		return nil
 	}
-	return w.Ontologies[name]
+	if o, ok := w.Ontologies[name]; ok {
+		return o
+	}
+	for n, o := range w.Ontologies {
+		if strings.EqualFold(n, name) {
+			return o
+		}
+	}
+	return nil
 }
 
 // MatchReason explains why an advertisement was rejected; empty means it
@@ -226,26 +235,28 @@ func Match(w *World, ad *Advertisement, q *Query) MatchReason {
 	}
 
 	// Semantic brokering: content (ontology, classes, slots, constraints).
+	// The fragments in the query's ontology are walked in place: this
+	// runs once per candidate on every search.
 	if q.Ontology != "" {
-		frags := fragmentsFor(ad, q.Ontology)
-		if len(frags) == 0 {
+		if !ad.SupportsOntology(q.Ontology) {
 			return RejectOntology
 		}
 		ont := w.Ontology(q.Ontology)
 		for _, class := range q.Classes {
-			if !anyFragmentServesClass(frags, class, ont) {
+			if !anyFragmentServesClass(ad, q.Ontology, class, ont) {
 				return RejectClass
 			}
 		}
 		for _, slot := range q.Slots {
-			if !anyFragmentExposesSlot(frags, slot, ont) {
+			if !anyFragmentExposesSlot(ad, q.Ontology, slot, ont) {
 				return RejectSlot
 			}
 		}
 		if q.Constraints.Len() > 0 {
 			overlap := false
-			for _, f := range frags {
-				if f.Constraints.Overlaps(q.Constraints) {
+			for i := range ad.Content {
+				f := &ad.Content[i]
+				if strings.EqualFold(f.Ontology, q.Ontology) && f.Constraints.Overlaps(q.Constraints) {
 					overlap = true
 					break
 				}
@@ -276,18 +287,19 @@ func Match(w *World, ad *Advertisement, q *Query) MatchReason {
 func Specificity(w *World, ad *Advertisement, q *Query) int {
 	score := 0
 	if q.Ontology != "" {
-		frags := fragmentsFor(ad, q.Ontology)
 		for _, class := range q.Classes {
-			for _, f := range frags {
-				if f.HasClass(class) {
+			for i := range ad.Content {
+				f := &ad.Content[i]
+				if strings.EqualFold(f.Ontology, q.Ontology) && f.HasClass(class) {
 					score++
 					break
 				}
 			}
 		}
 		if q.Constraints.Len() > 0 {
-			for _, f := range frags {
-				if f.Constraints.Len() > 0 && q.Constraints.Covers(f.Constraints) {
+			for i := range ad.Content {
+				f := &ad.Content[i]
+				if strings.EqualFold(f.Ontology, q.Ontology) && f.Constraints.Len() > 0 && q.Constraints.Covers(f.Constraints) {
 					score++
 					break
 				}
@@ -309,21 +321,27 @@ func satisfiesCapability(w *World, advertised []string, requested string) bool {
 	return containsFold(advertised, requested)
 }
 
-func fragmentsFor(ad *Advertisement, ontologyName string) []*Fragment {
-	var out []*Fragment
+// SupportsOntology reports whether some fragment of the advertisement is
+// in the named ontology (compared case-insensitively).
+func (ad *Advertisement) SupportsOntology(ontologyName string) bool {
 	for i := range ad.Content {
 		if strings.EqualFold(ad.Content[i].Ontology, ontologyName) {
-			out = append(out, &ad.Content[i])
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // anyFragmentServesClass checks class service with subclass reasoning: a
-// fragment serving class C answers queries about C and about any superclass
-// of C (its instances are instances of the superclass).
-func anyFragmentServesClass(frags []*Fragment, class string, ont *Ontology) bool {
-	for _, f := range frags {
+// fragment in the ontology serving class C answers queries about C and
+// about any superclass of C (its instances are instances of the
+// superclass).
+func anyFragmentServesClass(ad *Advertisement, ontologyName, class string, ont *Ontology) bool {
+	for i := range ad.Content {
+		f := &ad.Content[i]
+		if !strings.EqualFold(f.Ontology, ontologyName) {
+			continue
+		}
 		if f.HasClass(class) {
 			return true
 		}
@@ -338,8 +356,12 @@ func anyFragmentServesClass(frags []*Fragment, class string, ont *Ontology) bool
 	return false
 }
 
-func anyFragmentExposesSlot(frags []*Fragment, slot string, ont *Ontology) bool {
-	for _, f := range frags {
+func anyFragmentExposesSlot(ad *Advertisement, ontologyName, slot string, ont *Ontology) bool {
+	for i := range ad.Content {
+		f := &ad.Content[i]
+		if !strings.EqualFold(f.Ontology, ontologyName) {
+			continue
+		}
 		for _, class := range f.Classes {
 			for _, s := range f.SlotsFor(class, ont) {
 				if strings.EqualFold(s, slot) {

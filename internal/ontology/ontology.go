@@ -373,14 +373,29 @@ func (ad *Advertisement) Validate() error {
 // Clone returns a deep copy of the advertisement.
 func (ad *Advertisement) Clone() *Advertisement {
 	cp := *ad
-	cp.CommLanguages = append([]string(nil), ad.CommLanguages...)
-	cp.ContentLanguages = append([]string(nil), ad.ContentLanguages...)
-	cp.Conversations = append([]string(nil), ad.Conversations...)
-	cp.Capabilities = append([]string(nil), ad.Capabilities...)
+	// One backing array holds every copied string list: a repository
+	// clones each advertisement it stores, so this is on the Put path.
+	n := len(ad.CommLanguages) + len(ad.ContentLanguages) + len(ad.Conversations) + len(ad.Capabilities)
+	for i := range ad.Content {
+		n += len(ad.Content[i].Classes)
+	}
+	buf := make([]string, 0, n)
+	take := func(src []string) []string {
+		if len(src) == 0 {
+			return nil
+		}
+		start := len(buf)
+		buf = append(buf, src...)
+		return buf[start:len(buf):len(buf)]
+	}
+	cp.CommLanguages = take(ad.CommLanguages)
+	cp.ContentLanguages = take(ad.ContentLanguages)
+	cp.Conversations = take(ad.Conversations)
+	cp.Capabilities = take(ad.Capabilities)
 	cp.Content = make([]Fragment, len(ad.Content))
 	for i, f := range ad.Content {
 		nf := f
-		nf.Classes = append([]string(nil), f.Classes...)
+		nf.Classes = take(f.Classes)
 		if f.Slots != nil {
 			nf.Slots = make(map[string][]string, len(f.Slots))
 			for k, v := range f.Slots {
