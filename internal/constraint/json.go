@@ -3,29 +3,56 @@ package constraint
 import (
 	"encoding/json"
 	"fmt"
+
+	"infosleuth/internal/jsonwire"
 )
 
 // Values and Sets travel inside KQML message content, so they marshal to
-// JSON. A Value encodes as {"n": 1.5} or {"s": "40W"}; a Set encodes as its
+// JSON. A Value encodes as {"n":1.5} or {"s":"40W"}; a Set encodes as its
 // list of atoms.
 
-type valueJSON struct {
-	N *float64 `json:"n,omitempty"`
-	S *string  `json:"s,omitempty"`
+// AppendJSON appends the value's JSON form. A number with no JSON form
+// (NaN, ±Inf) is an error.
+func (v Value) AppendJSON(dst []byte) ([]byte, error) {
+	if v.kind != KindNumber {
+		dst = jsonwire.AppendString(append(dst, `{"s":`...), v.str)
+		return append(dst, '}'), nil
+	}
+	dst, err := jsonwire.AppendFloat(append(dst, `{"n":`...), v.num)
+	return append(dst, '}'), err
 }
 
 // MarshalJSON implements json.Marshaler.
-func (v Value) MarshalJSON() ([]byte, error) {
-	if v.kind == KindNumber {
-		n := v.num
-		return json.Marshal(valueJSON{N: &n})
+func (v Value) MarshalJSON() ([]byte, error) { return v.AppendJSON(nil) }
+
+// ReadJSON reads a value in the form AppendJSON writes.
+func (v *Value) ReadJSON(r *jsonwire.Reader) {
+	switch {
+	case r.Lit(`{"n":`):
+		*v = Num(r.Float())
+	case r.Lit(`{"s":`):
+		*v = Str(r.String())
+	default:
+		r.Fail()
 	}
-	s := v.str
-	return json.Marshal(valueJSON{S: &s})
+	r.Expect("}")
+}
+
+// valueJSON decodes the forms ReadJSON does not handle: whitespace,
+// upper-case or unknown keys, nulls, and {} (the empty string).
+type valueJSON struct {
+	N *float64 `json:"n"`
+	S *string  `json:"s"`
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (v *Value) UnmarshalJSON(data []byte) error {
+	r := jsonwire.NewReader(data)
+	var out Value
+	if out.ReadJSON(&r); r.End() {
+		*v = out
+		return nil
+	}
 	var raw valueJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
@@ -38,8 +65,6 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 	case raw.S != nil:
 		*v = Str(*raw.S)
 	default:
-		// Neither present: the zero string value (e.g. {"s": ""}
-		// compacted by omitempty).
 		*v = Str("")
 	}
 	return nil

@@ -234,27 +234,6 @@ func (m *Message) String() string {
 	return fmt.Sprintf("%s %s->%s (%d bytes)", m.Performative, m.Sender, m.Receiver, len(m.Content))
 }
 
-// SetContent encodes a payload into the message.
-func (m *Message) SetContent(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("kqml: encoding %T content: %w", v, err)
-	}
-	m.Content = data
-	return nil
-}
-
-// DecodeContent decodes the message payload into v.
-func (m *Message) DecodeContent(v any) error {
-	if len(m.Content) == 0 {
-		return fmt.Errorf("kqml: %s message from %s has no content", m.Performative, m.Sender)
-	}
-	if err := json.Unmarshal(m.Content, v); err != nil {
-		return fmt.Errorf("kqml: decoding %s content into %T: %w", m.Performative, v, err)
-	}
-	return nil
-}
-
 // New builds a message with content, panicking only on marshaling bugs
 // (payload types here are all JSON-safe).
 func New(p Performative, sender string, content any) *Message {
@@ -422,25 +401,9 @@ func ReasonOf(m *Message) string {
 	return string(m.Performative) + " from " + m.Sender
 }
 
-// Marshal frames a message for the wire.
-func Marshal(m *Message) ([]byte, error) {
-	return json.Marshal(m)
-}
-
-// Unmarshal parses a wire frame.
-func Unmarshal(data []byte) (*Message, error) {
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("kqml: bad message frame: %w", err)
-	}
-	if m.Performative == "" {
-		return nil, fmt.Errorf("kqml: message missing performative")
-	}
-	return &m, nil
-}
-
-// Ensure constraint values round-trip in message payloads (compile-time
-// interface checks).
+// Content types without a hand-written codec (advertisements, broker
+// queries, monitor snapshots) still go through encoding/json, and the
+// constraint values inside them through these interfaces.
 var (
 	_ json.Marshaler   = constraint.Value{}
 	_ json.Unmarshaler = (*constraint.Value)(nil)

@@ -300,6 +300,7 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 		// Prefer a hash join on an equality condition whose one side is
 		// entirely in the new table and the other in the prior tuple.
 		var hashPC *plannedCond
+		hashAt := -1               // index of hashPC in conds
 		var probeIdx, buildIdx int // probeIdx in prior tuple, buildIdx in new rows
 		for i := range conds {
 			pc := conds[i]
@@ -315,15 +316,16 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 				hashPC, buildIdx, probeIdx = &conds[i], hi-newStart, lo
 			}
 			if hashPC != nil {
+				hashAt = i
 				break
 			}
 		}
 		newRows := b.table.Rows()
 		var next []relational.Row
 		checkRest := func(tuple relational.Row) {
-			for _, pc := range conds {
-				if hashPC != nil && pc.cond.String() == hashPC.cond.String() {
-					continue
+			for i, pc := range conds {
+				if i == hashAt {
+					continue // the hash lookup already checked it
 				}
 				if !evalCond(pc, tuple) {
 					return

@@ -193,12 +193,12 @@ func serveConn(conn net.Conn, h Handler, idleTimeout time.Duration) {
 		if reply == nil {
 			reply = &kqml.Message{Performative: kqml.Error, Sender: msg.Receiver}
 		}
-		out, err := kqml.Marshal(reply)
+		out, err := encodeFrame(reply)
 		if err != nil {
 			mServeErrors.With("tcp").Inc()
 			return
 		}
-		if err := writeFrame(conn, out); err != nil {
+		if err := sendFrame(conn, out); err != nil {
 			mServeErrors.With("tcp").Inc()
 			return
 		}
@@ -226,7 +226,7 @@ func (t *TCP) doCall(ctx context.Context, addr string, msg *kqml.Message) (_ *kq
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	out, err := kqml.Marshal(msg)
+	out, err := encodeFrame(msg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -252,8 +252,8 @@ func (t *TCP) doCall(ctx context.Context, addr string, msg *kqml.Message) (_ *kq
 	return reply, sent, received, err
 }
 
-// exchange performs one framed request/reply on the connection. On
-// success the connection is parked for reuse; on failure it is closed.
+// exchange sends the frame out (built by encodeFrame) and reads the reply.
+// On success the connection is parked for reuse; on failure it is closed.
 func (t *TCP) exchange(ctx context.Context, conn net.Conn, addr, hostport string, out []byte) (_ *kqml.Message, sent, received int, _ error) {
 	// Derive the read/write deadline from the context via a watcher rather
 	// than conn.SetDeadline(ctx.Deadline()): ctx.Done() closes only after
@@ -285,12 +285,12 @@ func (t *TCP) exchange(ctx context.Context, conn net.Conn, addr, hostport string
 		}
 		return fmt.Errorf("transport: %s %s: %w", op, addr, err)
 	}
-	if err := writeFrame(conn, out); err != nil {
+	if err := sendFrame(conn, out); err != nil {
 		stopWatcher()
 		conn.Close()
 		return nil, 0, 0, ctxWrap("writing to", err)
 	}
-	sent = len(out)
+	sent = len(out) - frameHeader
 	in, err := readFrame(conn)
 	if err != nil {
 		stopWatcher()
@@ -315,21 +315,29 @@ func stripTCP(addr string) (string, error) {
 	return strings.TrimPrefix(addr, "tcp://"), nil
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: writing %d bytes (limit %d)", ErrFrameTooLarge, len(payload), MaxFrame)
+// frameHeader is the size of the big-endian length prefix on every frame.
+const frameHeader = 4
+
+// encodeFrame marshals msg behind frameHeader bytes reserved for the
+// length prefix, so sendFrame can send the frame with one Write.
+func encodeFrame(msg *kqml.Message) ([]byte, error) {
+	return kqml.AppendMarshal(make([]byte, frameHeader, frameHeader+len(msg.Content)+256), msg)
+}
+
+// sendFrame fills in the length prefix of a frame built by encodeFrame and
+// writes it.
+func sendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > MaxFrame {
+		return fmt.Errorf("%w: writing %d bytes (limit %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			// Bytes arrived, then the stream died: a peer failing
