@@ -9,9 +9,6 @@
 // paper); the broker pings its advertised agents periodically and drops
 // the ones that have died (Section 2.2).
 //
-// -shards partitions the advertisement repository (DESIGN.md §12) for
-// large-repository deployments; the default 1 keeps the flat layout.
-//
 // With -metrics-addr the daemon also exposes /metrics, /metrics.json,
 // /healthz, /readyz (ready once the broker is listening and joined to its
 // configured peers), /traces and /traces/{id} (the conversation flight
@@ -53,7 +50,6 @@ func main() {
 		maxHops     = flag.Int("max-hops", 4, "maximum inter-broker hop count")
 		peerPruning = flag.Bool("peer-pruning", false, "prune peers by advertised specialization")
 		useDatalog  = flag.Bool("datalog", false, "use the LDL-style Datalog matcher instead of the compiled one")
-		shards      = flag.Int("shards", 1, "advertisement repository shards (rounded up to a power of two; 1 = flat repository)")
 		opts        daemon.Options
 	)
 	opts.AddFlags(flag.CommandLine)
@@ -76,16 +72,15 @@ func main() {
 
 	world := ontology.NewWorld(ontology.Generic(), ontology.Healthcare())
 	cfg := broker.Config{
-		Name:             *name,
-		Address:          *listen,
-		Transport:        &transport.TCP{},
-		World:            world,
-		MaxHopCount:      *maxHops,
-		Community:        *community,
-		Consortia:        []string{*consortium},
-		PeerPruning:      *peerPruning,
-		CallPolicy:       opts.CallPolicy(),
-		RepositoryShards: *shards,
+		Name:        *name,
+		Address:     *listen,
+		Transport:   &transport.TCP{},
+		World:       world,
+		MaxHopCount: *maxHops,
+		Community:   *community,
+		Consortia:   []string{*consortium},
+		PeerPruning: *peerPruning,
+		CallPolicy:  opts.CallPolicy(),
 	}
 	if *specialize != "" {
 		cfg.Specializations = strings.Split(*specialize, ",")

@@ -42,7 +42,6 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "METRICS.md", "output path for the metrics catalog")
 		fleetOut    = flag.String("fleet-out", "FLEET.txt", "output path for the fleet artifact's dashboard + SLO burn table")
 		slowlogOut  = flag.String("slowlog-out", "SLOWLOG.txt", "output path for the fleet artifact's slow-query log")
-		scaleOut    = flag.String("scale-out", "BENCH_scale.json", "output path for the scale-sweep artifact")
 		subsOut     = flag.String("subs-out", "BENCH_subs.json", "output path for the subscription-pipeline sweep artifact")
 	)
 	flag.Parse()
@@ -164,30 +163,6 @@ func main() {
 			res.SemiJoin.FetchBytesPerOpFull, res.SemiJoin.FetchBytesPerOpPlanned, res.SemiJoin.ReductionX)
 		fmt.Printf("  aggregate bytes/query: %d full, %d planned (%.1fx reduction)\n",
 			res.Aggregate.FetchBytesPerOpFull, res.Aggregate.FetchBytesPerOpPlanned, res.Aggregate.ReductionX)
-	}
-	// The scale sweep measures the sharded repository against the flat
-	// one under churn (BENCH_scale.json); explicit-only, like bench. With
-	// -quick it doubles as the CI smoke test: the run fails outright if
-	// the sharded configuration cannot beat the flat one.
-	if want["scale"] {
-		res, err := experiments.WriteScaleBench(*scaleOut, experiments.ScaleBenchOptions{Quick: *quick, Seed: *seed})
-		if err != nil {
-			log.Fatalf("scale: %v", err)
-		}
-		fmt.Printf("wrote %s\n", *scaleOut)
-		for _, pt := range res.Points {
-			fmt.Printf("  %7d ads: flat %6.0f/s p95 %8.0fµs | sharded(%d) %6.0f/s p95 %8.0fµs | gain %.1fx\n",
-				pt.Ads, pt.Flat.ThroughputPerSec, pt.Flat.SearchP95Micros,
-				pt.Sharded.Shards, pt.Sharded.ThroughputPerSec, pt.Sharded.SearchP95Micros,
-				pt.ThroughputGainX)
-		}
-		fmt.Printf("  ads grew %.0fx, sharded p95 grew %.1fx (sublinear: %v)\n",
-			res.AdsGrowthX, res.ShardedP95GrowthX, res.ShardedP95Sublinear)
-		last := res.Points[len(res.Points)-1]
-		if last.ThroughputGainX < 1 {
-			log.Fatalf("scale: sharded throughput (%.0f/s) below flat (%.0f/s) at %d ads",
-				last.Sharded.ThroughputPerSec, last.Flat.ThroughputPerSec, last.Ads)
-		}
 	}
 	// The subscription sweep measures the CDC pipeline's indexed standing
 	// queries against the evaluate-all baseline (BENCH_subs.json);

@@ -87,12 +87,6 @@ type Config struct {
 	// MatchCacheSize bounds the distinct queries the match cache holds;
 	// zero means DefaultMatchCacheSize.
 	MatchCacheSize int
-	// RepositoryShards partitions the advertisement repository into this
-	// many independently locked, indexed, and generation-stamped shards
-	// (rounded up to a power of two). Zero or one keeps the flat
-	// single-shard repository — the Section 5 reproduction default, which
-	// the experiment harness pins so reproduced artifacts are unchanged.
-	RepositoryShards int
 	// CallTimeout bounds each outgoing call; zero means 10 s.
 	CallTimeout time.Duration
 	// CallPolicy adds retries, backoff, and per-peer circuit breakers to
@@ -171,10 +165,9 @@ func New(cfg Config) (*Broker, error) {
 	}
 	b := &Broker{
 		cfg:   cfg,
-		repo:  NewShardedRepository(cfg.RepositoryShards),
+		repo:  NewRepository(),
 		peers: make(map[string]peer),
 	}
-	mShardCount.With(cfg.Name).Set(float64(b.repo.Shards()))
 	b.matcher = cfg.Matcher
 	if b.matcher == nil {
 		b.matcher = &DirectMatcher{World: cfg.World}

@@ -23,20 +23,6 @@ type Matcher interface {
 	Match(repo *Repository, q *ontology.Query) ([]*ontology.Advertisement, error)
 }
 
-// shardMatcher is the optional interface a matching engine implements to
-// let the cache memoize per-shard partial results: matchShard returns the
-// UNRANKED matching advertisements drawn from one repository shard, and
-// the cache re-ranks the concatenated partials with rankMatches — whose
-// deterministic (score, name) total order makes the assembled result
-// byte-identical to a whole-repository match. Engines that reason over
-// the full repository at once (the DatalogMatcher) don't implement it and
-// fall back to whole-result caching under the global generation.
-type shardMatcher interface {
-	matchShard(repo *Repository, shard int, q *ontology.Query) ([]*ontology.Advertisement, error)
-	// world exposes the ontology world rankMatches scores against.
-	world() *ontology.World
-}
-
 // DirectMatcher evaluates ontology.Match over the repository's index-
 // narrowed candidates (Repository.matchCandidates).
 type DirectMatcher struct {
@@ -53,13 +39,6 @@ func (m *DirectMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology.
 	return out, nil
 }
 
-// matchShard implements shardMatcher: filter one shard's candidates,
-// leaving ranking to the caller's final pass over the assembled union.
-// The query has already been validated by the caller.
-func (m *DirectMatcher) matchShard(repo *Repository, shard int, q *ontology.Query) ([]*ontology.Advertisement, error) {
-	return m.verify(repo.shardMatchCandidates(shard, m.World, q), q), nil
-}
-
 // verify returns the candidates ontology.Match accepts, in a slice sized
 // to them: the match cache keeps it, so it must not pin the candidate
 // slice's larger backing array.
@@ -73,8 +52,6 @@ func (m *DirectMatcher) verify(cands []*ontology.Advertisement, q *ontology.Quer
 	}
 	return slices.Clone(out)
 }
-
-func (m *DirectMatcher) world() *ontology.World { return m.World }
 
 // rankedAds sorts an ad slice and its parallel score slice together:
 // best score first, name as the deterministic tiebreak. Implementing

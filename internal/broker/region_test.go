@@ -87,47 +87,38 @@ func randRegionQuery(rng *rand.Rand) *ontology.Query {
 
 // TestRegionIndexMatchesUnindexed is the region index's oracle: a seeded
 // stream of random Puts, re-Puts and Removes goes to an unindexed
-// repository and to indexed ones at 1 and 8 shards, and every random
-// query must return the same ranked matches from each, directly and
-// through the match cache.
+// repository and to an indexed one, and every random query must return
+// the same ranked matches from both, directly and through the match
+// cache.
 func TestRegionIndexMatchesUnindexed(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		rng := rand.New(rand.NewSource(seed))
 		w := ontology.NewWorld(ontology.Generic(), ontology.Healthcare())
-		oracle := NewUnindexedRepository()
-		repos := []*Repository{NewRepository(), NewShardedRepository(8)}
+		oracle, r := NewUnindexedRepository(), NewRepository()
 		direct := &DirectMatcher{World: w}
 		cached := NewCachedMatcher(&DirectMatcher{World: w}, 0)
 		for step := 0; step < 1500; step++ {
 			name := fmt.Sprintf("ad-%03d", rng.Intn(250))
 			if rng.Intn(4) == 0 {
-				want := oracle.Remove(name)
-				for _, r := range repos {
-					if got := r.Remove(name); got != want {
-						t.Fatalf("seed %d step %d: Remove(%s) = %v, oracle %v", seed, step, name, got, want)
-					}
+				if got, want := r.Remove(name), oracle.Remove(name); got != want {
+					t.Fatalf("seed %d step %d: Remove(%s) = %v, oracle %v", seed, step, name, got, want)
 				}
 			} else {
 				ad := randRegionAd(rng, name)
-				wantErr := oracle.Put(ad)
-				for _, r := range repos {
-					if err := r.Put(ad); (err == nil) != (wantErr == nil) {
-						t.Fatalf("seed %d step %d: Put error %v, oracle %v", seed, step, err, wantErr)
-					}
+				if err, wantErr := r.Put(ad), oracle.Put(ad); (err == nil) != (wantErr == nil) {
+					t.Fatalf("seed %d step %d: Put error %v, oracle %v", seed, step, err, wantErr)
 				}
 			}
 			q := randRegionQuery(rng)
 			want, wantErr := direct.Match(oracle, q)
-			for ri, r := range repos {
-				for _, m := range []Matcher{direct, cached} {
-					got, err := m.Match(r, q)
-					if (err == nil) != (wantErr == nil) {
-						t.Fatalf("seed %d step %d: error %v, oracle %v", seed, step, err, wantErr)
-					}
-					if !reflect.DeepEqual(namesOf(got), namesOf(want)) {
-						t.Fatalf("seed %d step %d repo %d %T: query %s\n got %v\nwant %v",
-							seed, step, ri, m, q, namesOf(got), namesOf(want))
-					}
+			for _, m := range []Matcher{direct, cached} {
+				got, err := m.Match(r, q)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("seed %d step %d: error %v, oracle %v", seed, step, err, wantErr)
+				}
+				if !reflect.DeepEqual(namesOf(got), namesOf(want)) {
+					t.Fatalf("seed %d step %d %T: query %s\n got %v\nwant %v",
+						seed, step, m, q, namesOf(got), namesOf(want))
 				}
 			}
 		}
@@ -143,28 +134,26 @@ func TestRegionIndexCandidateGuard(t *testing.T) {
 	w := ontology.NewWorld(ontology.Generic())
 	classes := []string{"C1", "C2a", "C2b", "C3"}
 	field := map[string]string{"C1": "C1.a", "C2a": "C2.a", "C2b": "C2.a", "C3": "C3.a"}
-	for _, shards := range []int{1, 8} {
-		r := NewShardedRepository(shards)
-		for i := 0; i < n; i++ {
-			class := classes[i%len(classes)]
-			lo := i * 100
-			ad := resourceAd(fmt.Sprintf("ad-%05d", i), class)
-			ad.Content[0].Constraints = constraint.MustParse(fmt.Sprintf("%s between %d and %d", field[class], lo, lo+500))
-			if err := r.Put(ad); err != nil {
-				t.Fatal(err)
-			}
+	r := NewRepository()
+	for i := 0; i < n; i++ {
+		class := classes[i%len(classes)]
+		lo := i * 100
+		ad := resourceAd(fmt.Sprintf("ad-%05d", i), class)
+		ad.Content[0].Constraints = constraint.MustParse(fmt.Sprintf("%s between %d and %d", field[class], lo, lo+500))
+		if err := r.Put(ad); err != nil {
+			t.Fatal(err)
 		}
-		for _, class := range []string{"C1", "C2"} {
-			q := &ontology.Query{Type: ontology.TypeResource, Ontology: "generic", Classes: []string{class},
-				Constraints: constraint.MustParse(fmt.Sprintf("%s.a between 500000 and 500300", class))}
-			cands := r.matchCandidates(w, q)
-			if len(cands) == 0 || len(cands) > 64 {
-				t.Fatalf("shards=%d class %s: %d candidates, want 1..64", shards, class, len(cands))
-			}
-			matches, err := (&DirectMatcher{World: w}).Match(r, q)
-			if err != nil || len(matches) == 0 {
-				t.Fatalf("shards=%d class %s: %d matches, err %v", shards, class, len(matches), err)
-			}
+	}
+	for _, class := range []string{"C1", "C2"} {
+		q := &ontology.Query{Type: ontology.TypeResource, Ontology: "generic", Classes: []string{class},
+			Constraints: constraint.MustParse(fmt.Sprintf("%s.a between 500000 and 500300", class))}
+		cands := r.matchCandidates(w, q)
+		if len(cands) == 0 || len(cands) > 64 {
+			t.Fatalf("class %s: %d candidates, want 1..64", class, len(cands))
+		}
+		matches, err := (&DirectMatcher{World: w}).Match(r, q)
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("class %s: %d matches, err %v", class, len(matches), err)
 		}
 	}
 }
@@ -180,70 +169,68 @@ func TestRegionIndexConcurrentMutation(t *testing.T) {
 		ad.Content[0].Constraints = constraint.MustParse(fmt.Sprintf("C2.a between %d and %d", lo, lo+30))
 		return ad
 	}
-	for _, shards := range []int{1, 8} {
-		r, oracle := NewShardedRepository(shards), NewUnindexedRepository()
-		for i := 0; i < 2000; i++ {
-			ad := rangeAd(fmt.Sprintf("stable-%04d", i), i*10)
-			if err := r.Put(ad); err != nil {
-				t.Fatal(err)
+	r, oracle := NewRepository(), NewUnindexedRepository()
+	for i := 0; i < 2000; i++ {
+		ad := rangeAd(fmt.Sprintf("stable-%04d", i), i*10)
+		if err := r.Put(ad); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Put(ad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dm := &DirectMatcher{World: w}
+	done := make(chan struct{})
+	var churner, searchers sync.WaitGroup
+	churner.Add(1)
+	go func() {
+		defer churner.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
 			}
-			if err := oracle.Put(ad); err != nil {
-				t.Fatal(err)
+			name := fmt.Sprintf("churn-%03d", i%100)
+			if i%3 == 0 {
+				r.Remove(name)
+			} else if err := r.Put(rangeAd(name, (i*37)%20000)); err != nil {
+				t.Error(err)
+				return
 			}
 		}
-		dm := &DirectMatcher{World: w}
-		done := make(chan struct{})
-		var churner, searchers sync.WaitGroup
-		churner.Add(1)
-		go func() {
-			defer churner.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				name := fmt.Sprintf("churn-%03d", i%100)
-				if i%3 == 0 {
-					r.Remove(name)
-				} else if err := r.Put(rangeAd(name, (i*37)%20000)); err != nil {
+	}()
+	for s := 0; s < 2; s++ {
+		searchers.Add(1)
+		go func(s int) {
+			defer searchers.Done()
+			for k := 0; k < 200; k++ {
+				lo := ((k*7 + s*3) % 2000) * 10
+				q := &ontology.Query{Ontology: "generic", Classes: []string{"C2"},
+					Constraints: constraint.MustParse(fmt.Sprintf("C2.a between %d and %d", lo, lo+15))}
+				want, _ := dm.Match(oracle, q)
+				got, err := dm.Match(r, q)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-			}
-		}()
-		for s := 0; s < 2; s++ {
-			searchers.Add(1)
-			go func(s int) {
-				defer searchers.Done()
-				for k := 0; k < 200; k++ {
-					lo := ((k*7 + s*3) % 2000) * 10
-					q := &ontology.Query{Ontology: "generic", Classes: []string{"C2"},
-						Constraints: constraint.MustParse(fmt.Sprintf("C2.a between %d and %d", lo, lo+15))}
-					want, _ := dm.Match(oracle, q)
-					got, err := dm.Match(r, q)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					var stable []string
-					for _, ad := range got {
-						if !strings.HasPrefix(ad.Name, "churn-") {
-							stable = append(stable, ad.Name)
-						} else if ontology.Match(w, ad, q) != ontology.Matched {
-							t.Errorf("shards=%d: %s returned but does not match %s", shards, ad.Name, q)
-						}
-					}
-					sort.Strings(stable)
-					if !reflect.DeepEqual(stable, namesOf(want)) {
-						t.Errorf("shards=%d: %s returned stable %v, want %v", shards, q, stable, namesOf(want))
-						return
+				var stable []string
+				for _, ad := range got {
+					if !strings.HasPrefix(ad.Name, "churn-") {
+						stable = append(stable, ad.Name)
+					} else if ontology.Match(w, ad, q) != ontology.Matched {
+						t.Errorf("%s returned but does not match %s", ad.Name, q)
 					}
 				}
-			}(s)
-		}
-		searchers.Wait()
-		close(done)
-		churner.Wait()
+				sort.Strings(stable)
+				if !reflect.DeepEqual(stable, namesOf(want)) {
+					t.Errorf("%s returned stable %v, want %v", q, stable, namesOf(want))
+					return
+				}
+			}
+		}(s)
 	}
+	searchers.Wait()
+	close(done)
+	churner.Wait()
 }

@@ -7,7 +7,6 @@ package broker
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -17,39 +16,6 @@ import (
 	"infosleuth/internal/constraint"
 	"infosleuth/internal/ontology"
 )
-
-// MaxRepositoryShards caps the shard count a repository may be built
-// with; requests beyond it are clamped. 1024 shards of a few thousand
-// advertisements each covers the million-advertisement target with room
-// to spare.
-const MaxRepositoryShards = 1024
-
-// maxCandidateWorkers bounds the worker pool that gathers candidates
-// across shards in parallel. More workers than cores just adds
-// scheduling churn on a read path that is already lock-free across
-// shards.
-const maxCandidateWorkers = 8
-
-// repoShard is one partition of the repository: its own advertisement
-// map, secondary indexes, lock and generation counter, so a mutation
-// touches exactly one shard and concurrent searches of different shards
-// never contend.
-type repoShard struct {
-	mu  sync.RWMutex
-	ads map[string]*ontology.Advertisement // by lower-cased agent name
-
-	// gen counts this shard's mutations (Put/Remove). The per-shard
-	// match cache stamps partial results with the generation they were
-	// computed at; a bump invalidates only results drawn from this
-	// shard.
-	gen atomic.Uint64
-
-	// Secondary indexes: value → set of agent keys, and per lower-cased
-	// ontology its class/region indexes.
-	byType     map[ontology.AgentType]map[string]bool
-	byOntology map[string]classIndexes
-	byLanguage map[string]map[string]bool
-}
 
 // classIndexes holds one ontology's constraint-region indexes, one per
 // served class name (compared exactly, as ontology.Match compares
@@ -61,34 +27,13 @@ type repoShard struct {
 // members of an ontology's indexes are exactly the ads supporting it.
 type classIndexes map[string]*constraint.Index[*ontology.Advertisement]
 
-func newRepoShard() *repoShard {
-	return &repoShard{
-		ads:        make(map[string]*ontology.Advertisement),
-		byType:     make(map[ontology.AgentType]map[string]bool),
-		byOntology: make(map[string]classIndexes),
-		byLanguage: make(map[string]map[string]bool),
-	}
-}
-
 // Repository stores advertisements with secondary indexes on agent type,
 // supported ontology and content language, plus one constraint-region
 // index per (ontology, served class), so matchmaking runs the full
 // semantic match only on the advertisements the indexes admit. It is safe
-// for concurrent use.
-//
-// The repository is partitioned into shards addressed by the capability
-// hash of the advertisement — the FNV-1a hash of its lower-cased agent
-// name, the advertisement's stable capability identity. (The ontology
-// region cannot participate in shard addressing because Remove/Get/
-// Contains look advertisements up by name alone; a name→shard directory
-// would reintroduce the global serialization point sharding exists to
-// remove. Region locality instead lives in each shard's class/region
-// indexes.) Put/Remove/Get touch exactly one shard; Search gathers
-// candidates from all shards — in parallel through a bounded worker pool
-// when the shard count and GOMAXPROCS warrant it. A single-shard
-// repository (the default, and the Section 5 configuration) behaves
-// exactly like the historical flat repository, with no dispatch
-// overhead.
+// for concurrent use: one RWMutex guards the maps and indexes, and an
+// atomic generation counter lets the match cache check freshness without
+// taking it.
 //
 // Stored advertisements are immutable snapshots: Put clones its argument
 // once, and nothing mutates an entry afterwards — an update Puts a fresh
@@ -97,11 +42,22 @@ func newRepoShard() *repoShard {
 // what lets the matchmaking hot path skip per-match cloning; the exported
 // Get/All still clone for callers outside the package's control.
 type Repository struct {
-	shards []*repoShard
-	mask   uint64 // len(shards) is a power of two; mask = len-1
+	mu  sync.RWMutex
+	ads map[string]*ontology.Advertisement // by lower-cased agent name
+
+	// gen counts mutations (Put/Remove). The match cache stamps results
+	// with the generation they were computed at.
+	gen atomic.Uint64
+
+	// Secondary indexes: value → set of agent keys, and per lower-cased
+	// ontology its class/region indexes.
+	byType     map[ontology.AgentType]map[string]bool
+	byOntology map[string]classIndexes
+	byLanguage map[string]map[string]bool
 
 	// indexed can be disabled to measure the index benefit
-	// (BenchmarkRepositoryIndexes).
+	// (BenchmarkRepositoryIndexes) and to serve as the evaluate-all
+	// oracle in tests.
 	indexed bool
 
 	// snapshot memo: the sorted snapshot is recomputed only when the
@@ -112,87 +68,27 @@ type Repository struct {
 	snap    []*ontology.Advertisement // nil = no memo
 }
 
-// NewRepository returns an empty, indexed, single-shard repository — the
-// flat layout every broker used before sharding, still the default.
+// NewRepository returns an empty, indexed repository.
 func NewRepository() *Repository {
-	return NewShardedRepository(1)
-}
-
-// NewShardedRepository returns an empty, indexed repository partitioned
-// into n shards. n is rounded up to a power of two (for mask dispatch)
-// and clamped to [1, MaxRepositoryShards]; n <= 1 yields the flat
-// single-shard layout.
-func NewShardedRepository(n int) *Repository {
-	n = normalizeShards(n)
-	r := &Repository{
-		shards:  make([]*repoShard, n),
-		mask:    uint64(n - 1),
-		indexed: true,
+	return &Repository{
+		ads:        make(map[string]*ontology.Advertisement),
+		byType:     make(map[ontology.AgentType]map[string]bool),
+		byOntology: make(map[string]classIndexes),
+		byLanguage: make(map[string]map[string]bool),
+		indexed:    true,
 	}
-	for i := range r.shards {
-		r.shards[i] = newRepoShard()
-	}
-	return r
-}
-
-// normalizeShards clamps and rounds a requested shard count.
-func normalizeShards(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	if n > MaxRepositoryShards {
-		n = MaxRepositoryShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // NewUnindexedRepository returns a repository that always scans all
-// advertisements; only the index-ablation benchmark should want one.
+// advertisements: the index-ablation benchmark's baseline and the
+// evaluate-all oracle the region-index tests compare against.
 func NewUnindexedRepository() *Repository {
 	r := NewRepository()
 	r.indexed = false
 	return r
 }
 
-// Shards returns the repository's shard count.
-func (r *Repository) Shards() int { return len(r.shards) }
-
 func adKey(name string) string { return strings.ToLower(name) }
-
-// FNV-1a, inlined so shard dispatch allocates nothing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func shardHash(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// shardFor routes an advertisement key to its owning shard. The
-// single-shard fast path skips hashing entirely.
-func (r *Repository) shardFor(key string) *repoShard {
-	if len(r.shards) == 1 {
-		return r.shards[0]
-	}
-	return r.shards[shardHash(key)&r.mask]
-}
-
-// numShards is the package-internal accessor the match cache sizes its
-// per-shard caches with.
-func (r *Repository) numShards() int { return len(r.shards) }
-
-// shardGen reads one shard's mutation counter.
-func (r *Repository) shardGen(i int) uint64 { return r.shards[i].gen.Load() }
 
 // Put validates and stores an advertisement, replacing any previous one for
 // the same agent (the paper: "when an agent's set of available services
@@ -208,57 +104,42 @@ func (r *Repository) Put(ad *ontology.Advertisement) error {
 	}
 	cp := ad.Clone()
 	key := adKey(cp.Name)
-	s := r.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.ads[key]; ok {
-		s.unindexLocked(key)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.ads[key]; ok {
+		r.unindexLocked(key)
 	}
-	s.ads[key] = cp
-	s.indexLocked(key, cp)
-	s.gen.Add(1)
+	r.ads[key] = cp
+	r.indexLocked(key, cp)
+	r.gen.Add(1)
 	return nil
 }
 
 // Remove deletes an agent's advertisement; it reports whether one existed.
 func (r *Repository) Remove(name string) bool {
 	key := adKey(name)
-	s := r.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.ads[key]; !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.ads[key]; !ok {
 		return false
 	}
-	s.unindexLocked(key)
-	delete(s.ads, key)
-	s.gen.Add(1)
+	r.unindexLocked(key)
+	delete(r.ads, key)
+	r.gen.Add(1)
 	return true
 }
 
-// Generation returns the repository's mutation counter: the sum of the
-// per-shard counters. Each shard's counter increments before Put/Remove
-// return and never decreases, so any result computed from a generation
-// read before a mutation cannot be served as current afterwards — the
-// match cache's invalidation signal. On a single-shard repository this
-// is exactly the historical flat counter.
-func (r *Repository) Generation() uint64 {
-	if len(r.shards) == 1 {
-		return r.shards[0].gen.Load()
-	}
-	var sum uint64
-	for _, s := range r.shards {
-		sum += s.gen.Load()
-	}
-	return sum
-}
+// Generation returns the repository's mutation counter. It increments
+// before Put/Remove return and never decreases, so any result computed
+// from a generation read before a mutation cannot be served as current
+// afterwards — the match cache's invalidation signal.
+func (r *Repository) Generation() uint64 { return r.gen.Load() }
 
 // Get returns a copy of an agent's advertisement.
 func (r *Repository) Get(name string) (*ontology.Advertisement, bool) {
-	key := adKey(name)
-	s := r.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ad, ok := s.ads[key]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	ad, ok := r.ads[adKey(name)]
 	if !ok {
 		return nil, false
 	}
@@ -267,36 +148,26 @@ func (r *Repository) Get(name string) (*ontology.Advertisement, bool) {
 
 // Contains reports whether the agent is advertised.
 func (r *Repository) Contains(name string) bool {
-	key := adKey(name)
-	s := r.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.ads[key]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.ads[adKey(name)]
 	return ok
 }
 
 // Len returns the number of stored advertisements.
 func (r *Repository) Len() int {
-	n := 0
-	for _, s := range r.shards {
-		s.mu.RLock()
-		n += len(s.ads)
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.ads)
 }
 
 // LenNonBroker returns the number of stored non-broker advertisements —
 // the size of the space the matchmaker reasons over for service queries
 // (peer-broker entries are routing state, not candidates).
 func (r *Repository) LenNonBroker() int {
-	n := 0
-	for _, s := range r.shards {
-		s.mu.RLock()
-		n += len(s.ads) - len(s.byType[ontology.TypeBroker])
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.ads) - len(r.byType[ontology.TypeBroker])
 }
 
 // Names returns the advertised agent names, sorted. It reads through the
@@ -320,15 +191,15 @@ func (r *Repository) All() []*ontology.Advertisement {
 	return out
 }
 
-func (s *repoShard) indexLocked(key string, ad *ontology.Advertisement) {
-	addTo(s.byType, ad.Type, key)
+func (r *Repository) indexLocked(key string, ad *ontology.Advertisement) {
+	addTo(r.byType, ad.Type, key)
 	for i := range ad.Content {
 		f := &ad.Content[i]
 		ont := strings.ToLower(f.Ontology)
-		classes := s.byOntology[ont]
+		classes := r.byOntology[ont]
 		if classes == nil {
 			classes = make(classIndexes)
-			s.byOntology[ont] = classes
+			r.byOntology[ont] = classes
 		}
 		for c, class := range f.Classes {
 			if servedBefore(ad, i, c) {
@@ -347,7 +218,7 @@ func (s *repoShard) indexLocked(key string, ad *ontology.Advertisement) {
 		}
 	}
 	for _, l := range ad.ContentLanguages {
-		addTo(s.byLanguage, strings.ToLower(l), key)
+		addTo(r.byLanguage, strings.ToLower(l), key)
 	}
 }
 
@@ -379,141 +250,64 @@ func servedBefore(ad *ontology.Advertisement, i, c int) bool {
 	return false
 }
 
-func (s *repoShard) unindexLocked(key string) {
-	ad := s.ads[key]
+func (r *Repository) unindexLocked(key string) {
+	ad := r.ads[key]
 	if ad == nil {
 		return
 	}
-	delete(s.byType[ad.Type], key)
+	delete(r.byType[ad.Type], key)
 	for i := range ad.Content {
 		f := &ad.Content[i]
 		ont := strings.ToLower(f.Ontology)
-		classes := s.byOntology[ont]
+		classes := r.byOntology[ont]
 		for _, class := range f.Classes {
 			if idx := classes[class]; idx != nil && idx.Remove(key) && idx.Len() == 0 {
 				delete(classes, class)
 			}
 		}
 		if classes != nil && len(classes) == 0 {
-			delete(s.byOntology, ont)
+			delete(r.byOntology, ont)
 		}
 	}
 	for _, l := range ad.ContentLanguages {
-		delete(s.byLanguage[strings.ToLower(l)], key)
+		delete(r.byLanguage[strings.ToLower(l)], key)
 	}
 }
 
 // agentTypes returns the agent types with at least one advertisement,
 // sorted.
 func (r *Repository) agentTypes() []ontology.AgentType {
+	r.mu.RLock()
 	var out []ontology.AgentType
-	for _, s := range r.shards {
-		s.mu.RLock()
-		for t, set := range s.byType {
-			if len(set) > 0 && !slices.Contains(out, t) {
-				out = append(out, t)
-			}
+	for t, set := range r.byType {
+		if len(set) > 0 {
+			out = append(out, t)
 		}
-		s.mu.RUnlock()
 	}
+	r.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
 
-// candidates returns the advertisement pointers a query could match,
-// narrowed by the type, ontology and language indexes when possible — the
-// coarse set the provenance walk explains, rejected ads included. The
-// returned ads are the repository's immutable snapshots: callers must not
-// mutate them. The result order is unspecified — every caller (the
-// matchers, the provenance re-walk) re-orders deterministically, so
-// candidates does not pay for a sort of its own.
-func (r *Repository) candidates(q *ontology.Query) []*ontology.Advertisement {
-	return r.gather(func(s *repoShard) []*ontology.Advertisement { return s.candidates(q, r.indexed) })
-}
-
 // matchCandidates returns the advertisements worth running
-// ontology.Match on: the class/region index's candidates when the query
-// names a class and carries a bounded numeric constraint, else the
-// coarse candidates.
+// ontology.Match on. A query naming an ontology and a class with a
+// bounded numeric constraint probes the region indexes of its first
+// class and every served subclass of it (ontology.Match admits an
+// advertisement serving a subclass), on one bounded field of the query's
+// constraints; any ad the match accepts serves that class and overlaps
+// the query, so it is among the probed. Other queries take the coarse
+// type/ontology/language path of candidates.
 func (r *Repository) matchCandidates(w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
-	return r.gather(func(s *repoShard) []*ontology.Advertisement { return s.matchCandidates(w, q, r.indexed) })
-}
-
-// shardMatchCandidates is matchCandidates for one shard — the per-shard
-// match cache's recompute unit.
-func (r *Repository) shardMatchCandidates(i int, w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
-	return r.shards[i].matchCandidates(w, q, r.indexed)
-}
-
-// gather concatenates one per-shard gather over every shard. On a
-// multi-shard repository the gathers run through a bounded worker pool
-// when enough cores are available; each shard is internally consistent
-// under its own read lock, and no lock is held across shards.
-func (r *Repository) gather(per func(*repoShard) []*ontology.Advertisement) []*ontology.Advertisement {
-	if len(r.shards) == 1 {
-		return per(r.shards[0])
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(r.shards) {
-		workers = len(r.shards)
-	}
-	if workers > maxCandidateWorkers {
-		workers = maxCandidateWorkers
-	}
-	if workers <= 1 {
-		var out []*ontology.Advertisement
-		for _, s := range r.shards {
-			out = append(out, per(s)...)
-		}
-		return out
-	}
-	mShardParallelGathers.Inc()
-	results := make([][]*ontology.Advertisement, len(r.shards))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(r.shards) {
-					return
-				}
-				results[i] = per(r.shards[i])
-			}
-		}()
-	}
-	wg.Wait()
-	n := 0
-	for _, part := range results {
-		n += len(part)
-	}
-	out := make([]*ontology.Advertisement, 0, n)
-	for _, part := range results {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// matchCandidates narrows one shard for matching. A query naming an
-// ontology and a class with a bounded numeric constraint probes the
-// region indexes of its first class and every served subclass of it
-// (ontology.Match admits an advertisement serving a subclass), on one
-// bounded field of the query's constraints; any ad the match accepts
-// serves that class and overlaps the query, so it is among the probed.
-// Other queries take the type/ontology/language path.
-func (s *repoShard) matchCandidates(w *ontology.World, q *ontology.Query, indexed bool) []*ontology.Advertisement {
-	if !indexed || q.Ontology == "" || len(q.Classes) == 0 || !q.Constraints.HasNumericBound() {
-		return s.candidates(q, indexed)
+	if !r.indexed || q.Ontology == "" || len(q.Classes) == 0 || !q.Constraints.HasNumericBound() {
+		return r.candidates(q)
 	}
 	class := q.Classes[0]
 	ont := w.Ontology(q.Ontology)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var out []*ontology.Advertisement
 	visited, probed := 0, 0
-	for served, idx := range s.byOntology[strings.ToLower(q.Ontology)] {
+	for served, idx := range r.byOntology[strings.ToLower(q.Ontology)] {
 		if served != class && (ont == nil || !ont.IsSubclassOf(served, class)) {
 			continue
 		}
@@ -543,28 +337,36 @@ func dedupeAds(ads []*ontology.Advertisement) []*ontology.Advertisement {
 	return out
 }
 
-// candidates narrows one shard's advertisements by its type and
-// language sets, keeping the ads that support the query's ontology; a
-// query constraining only the ontology takes its class indexes' members.
+// candidates returns the advertisement pointers a query could match,
+// narrowed by the type, ontology and language indexes when possible — the
+// coarse set the provenance walk explains, rejected ads included. It
+// intersects the type and language sets, keeping the ads that support the
+// query's ontology; a query constraining only the ontology takes its
+// class indexes' members. The returned ads are the repository's immutable
+// snapshots: callers must not mutate them. The result order is
+// unspecified — every caller (the matchers, the provenance re-walk)
+// re-orders deterministically, so candidates does not pay for a sort of
+// its own.
+//
 // The output slice is sized by the post-intersection estimate under an
 // independence assumption (|A∩B| ≈ |A|·|B|/N), not by the smallest index
 // set — with several index sets the intersection is usually far smaller
 // than any one of them.
-func (s *repoShard) candidates(q *ontology.Query, indexed bool) []*ontology.Advertisement {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !indexed {
-		return s.unsortedLocked()
+func (r *Repository) candidates(q *ontology.Query) []*ontology.Advertisement {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if !r.indexed {
+		return r.unsortedLocked()
 	}
 	var sets []map[string]bool
 	if q.Type != ontology.TypeAny {
-		sets = append(sets, s.byType[q.Type])
+		sets = append(sets, r.byType[q.Type])
 	}
 	if q.ContentLanguage != "" {
-		sets = append(sets, s.byLanguage[strings.ToLower(q.ContentLanguage)])
+		sets = append(sets, r.byLanguage[strings.ToLower(q.ContentLanguage)])
 	}
 	if q.Ontology != "" {
-		classes := s.byOntology[strings.ToLower(q.Ontology)]
+		classes := r.byOntology[strings.ToLower(q.Ontology)]
 		if len(classes) == 0 {
 			return nil
 		}
@@ -581,11 +383,11 @@ func (s *repoShard) candidates(q *ontology.Query, indexed bool) []*ontology.Adve
 		}
 	}
 	if len(sets) == 0 {
-		return s.unsortedLocked()
+		return r.unsortedLocked()
 	}
 	// Intersect starting from the smallest set.
 	sort.Slice(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
-	out := make([]*ontology.Advertisement, 0, intersectionEstimate(sets, len(s.ads)))
+	out := make([]*ontology.Advertisement, 0, intersectionEstimate(sets, len(r.ads)))
 outer:
 	for key := range sets[0] {
 		for _, o := range sets[1:] {
@@ -593,7 +395,7 @@ outer:
 				continue outer
 			}
 		}
-		if ad := s.ads[key]; q.Ontology == "" || ad.SupportsOntology(q.Ontology) {
+		if ad := r.ads[key]; q.Ontology == "" || ad.SupportsOntology(q.Ontology) {
 			out = append(out, ad)
 		}
 	}
@@ -637,27 +439,12 @@ func (r *Repository) snapshot() []*ontology.Advertisement {
 	}
 	r.snapMu.Unlock()
 
-	// Rebuild under all shard locks (ascending index order, so
-	// concurrent snapshots cannot deadlock): the collected view is a
-	// consistent cut, and the generation it is stamped with is exact.
-	for _, s := range r.shards {
-		s.mu.RLock()
-	}
-	gen = 0
-	n := 0
-	for _, s := range r.shards {
-		gen += s.gen.Load()
-		n += len(s.ads)
-	}
-	out := make([]*ontology.Advertisement, 0, n)
-	for _, s := range r.shards {
-		for _, ad := range s.ads {
-			out = append(out, ad)
-		}
-	}
-	for _, s := range r.shards {
-		s.mu.RUnlock()
-	}
+	// Rebuild under the read lock: the collected view and the
+	// generation it is stamped with are one consistent cut.
+	r.mu.RLock()
+	gen = r.gen.Load()
+	out := r.unsortedLocked()
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 
 	r.snapMu.Lock()
@@ -670,9 +457,9 @@ func (r *Repository) snapshot() []*ontology.Advertisement {
 	return out
 }
 
-func (s *repoShard) unsortedLocked() []*ontology.Advertisement {
-	out := make([]*ontology.Advertisement, 0, len(s.ads))
-	for _, ad := range s.ads {
+func (r *Repository) unsortedLocked() []*ontology.Advertisement {
+	out := make([]*ontology.Advertisement, 0, len(r.ads))
+	for _, ad := range r.ads {
 		out = append(out, ad)
 	}
 	return out

@@ -85,18 +85,6 @@ func (s *Simulator) Cancel(e *Event) {
 	heap.Remove(&s.queue, e.index)
 }
 
-// Peek returns the firing time of the next queued event without
-// executing it; ok is false when the queue is empty. Drivers that
-// interleave a simulated schedule with external work (the scale
-// harness's churn feed) use it to drain events up to a deadline without
-// advancing the clock past it.
-func (s *Simulator) Peek() (t Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].time, true
-}
-
 // Step executes the next event; it reports false when the queue is empty.
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
@@ -116,7 +104,6 @@ func (s *Simulator) Step() bool {
 // drains; the clock finishes at exactly `until` if it was reached.
 func (s *Simulator) Run(until Time) {
 	for len(s.queue) > 0 {
-		// Peek.
 		e := s.queue[0]
 		if e.time > until {
 			break

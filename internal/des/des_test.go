@@ -160,27 +160,3 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		s.Run(20)
 	}
 }
-
-func TestPeek(t *testing.T) {
-	s := New()
-	if _, ok := s.Peek(); ok {
-		t.Fatal("Peek on an empty queue reported an event")
-	}
-	s.Schedule(5, func() {})
-	e := s.Schedule(2, func() {})
-	if at, ok := s.Peek(); !ok || at != 2 {
-		t.Fatalf("Peek = %v, %v, want 2, true", at, ok)
-	}
-	if s.Now() != 0 {
-		t.Fatalf("Peek advanced the clock to %v", s.Now())
-	}
-	s.Cancel(e)
-	// Cancel removes the event from the queue, so Peek sees the survivor.
-	if at, ok := s.Peek(); !ok || at != 5 {
-		t.Fatalf("Peek after cancel = %v, %v, want 5, true", at, ok)
-	}
-	s.Step()
-	if _, ok := s.Peek(); ok {
-		t.Fatal("Peek reported an event after the queue drained")
-	}
-}

@@ -371,10 +371,6 @@ func liveRun(streams []Stream, brokers int, specialized bool, opts LiveOptions) 
 			// The Section 5 experiments model the original broker's
 			// uncached LDL reasoning: every query pays the full match.
 			cfg.DisableMatchCache = true
-			// Shards pinned to 1: the reproduced artifacts measure the
-			// paper's flat repository; the sharded layout is benchmarked
-			// separately by the scale sweep (BENCH_scale.json).
-			cfg.RepositoryShards = 1
 			if specialized {
 				cfg.PeerPruning = true
 				for si, s := range streams {

@@ -8,7 +8,7 @@
 // fan-out the legacy path would do. A deliberately stalled subscriber
 // rides along at every size to prove per-subscriber sender isolation,
 // and a measured LegacyNotify run at the smallest size anchors the
-// evaluate-all baseline. Like BENCH_scale.json this measures the
+// evaluate-all baseline. Like BENCH_broker.json this measures the
 // implementation, not the paper's Section 5 evaluation — the Section 5
 // harness pins LegacyNotify, so its artifacts are untouched by the CDC
 // pipeline.

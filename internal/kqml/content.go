@@ -55,10 +55,7 @@ type UpdateAck struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// UnsubscribeContent cancels a standing query by subscription ID. It
-// replaces the historical abuse of unadvertise + SorryContent{Reason: id};
-// resources accept the legacy form for one release (see
-// resource.Agent's unadvertise handling) before it is removed.
+// UnsubscribeContent cancels a standing query by subscription ID.
 type UnsubscribeContent struct {
 	// ID is the subscription to cancel, as returned in SubscribeAck.
 	ID string `json:"id"`

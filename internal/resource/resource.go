@@ -176,16 +176,6 @@ func (a *Agent) handle(msg *kqml.Message) *kqml.Message {
 			return a.Reply(msg, kqml.Tell, &kqml.UnsubscribeAck{ID: uc.ID})
 		}
 		return a.Reply(msg, kqml.Sorry, &kqml.SorryContent{Reason: kqml.SorryReasonUnknownSubscription})
-	case kqml.Unadvertise:
-		// Legacy cancellation form: unadvertise with the subscription id
-		// smuggled in SorryContent.Reason. Deprecated in favor of the
-		// typed kqml.Unsubscribe performative; accepted for one release
-		// (see DESIGN.md §13 migration note).
-		var sc kqml.SorryContent
-		if err := msg.DecodeContent(&sc); err == nil && a.unsubscribe(sc.Reason) {
-			return a.Reply(msg, kqml.Tell, &kqml.SorryContent{Reason: "unsubscribed"})
-		}
-		return a.Reply(msg, kqml.Sorry, &kqml.SorryContent{Reason: kqml.SorryReasonUnknownSubscription})
 	default:
 		return a.Reply(msg, kqml.Sorry, &kqml.SorryContent{
 			Reason: fmt.Sprintf("resource agent does not handle %s", msg.Performative),

@@ -147,12 +147,20 @@ func TestResourceQueryDelay(t *testing.T) {
 
 func TestResourceUnsupportedPerformative(t *testing.T) {
 	a, tr := newResource(t)
-	reply, err := tr.Call(context.Background(), a.Addr(), kqml.New(kqml.Update, "x", &kqml.SQLQuery{SQL: "s"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Performative != kqml.Sorry {
-		t.Errorf("reply = %s, want sorry", reply.Performative)
+	for _, msg := range []*kqml.Message{
+		kqml.New(kqml.Update, "x", &kqml.SQLQuery{SQL: "s"}),
+		// Subscriptions are cancelled with unsubscribe; an unadvertise
+		// carrying a subscription ID is not a cancellation.
+		kqml.New(kqml.Unadvertise, "x", &kqml.SorryContent{Reason: "sub-1"}),
+	} {
+		reply, err := tr.Call(context.Background(), a.Addr(), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "resource agent does not handle " + string(msg.Performative)
+		if reply.Performative != kqml.Sorry || kqml.ReasonOf(reply) != want {
+			t.Errorf("%s reply = %s %q, want sorry %q", msg.Performative, reply.Performative, kqml.ReasonOf(reply), want)
+		}
 	}
 }
 

@@ -113,24 +113,6 @@ func TestSubscribeBaselineAndNotify(t *testing.T) {
 	if updates[0].Seq == 0 {
 		t.Error("update missing change-stream sequence number")
 	}
-
-	// Cancel via the legacy form: unadvertise with the subscription id.
-	cancel := kqml.New(kqml.Unadvertise, "collector", &kqml.SorryContent{Reason: ack.ID})
-	reply, err := tr.Call(ctx, ra.Addr(), cancel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Performative != kqml.Tell {
-		t.Fatalf("cancel = %s", reply.Performative)
-	}
-	if len(ra.Subscriptions()) != 0 {
-		t.Error("subscription not removed")
-	}
-	// Cancelling again is a sorry.
-	reply, _ = tr.Call(ctx, ra.Addr(), cancel)
-	if reply.Performative != kqml.Sorry {
-		t.Errorf("double cancel = %s", reply.Performative)
-	}
 }
 
 func TestUnsubscribePerformative(t *testing.T) {

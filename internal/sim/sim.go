@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"infosleuth/internal/des"
 	"infosleuth/internal/stats"
@@ -465,10 +466,14 @@ func (w *world) gatherFromPeers(origin *simBroker, q *query, local []int, epoch 
 		if !origin.up || origin.epoch != epoch {
 			return
 		}
+		// Sorted: the reply's order is the order the resources are
+		// queried over the query agent's shared link, so map order
+		// would leak into the response times.
 		ids := make([]int, 0, len(g.matches))
 		for id := range g.matches {
 			ids = append(ids, id)
 		}
+		slices.Sort(ids)
 		w.replyToQueryAgent(origin, q, ids)
 	}
 	for _, p := range w.brokers {

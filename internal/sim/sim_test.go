@@ -5,20 +5,31 @@ import (
 )
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{
+	base := Config{
 		Seed: 11, Brokers: 4, Resources: 16, Strategy: Specialized,
 		MeanQueryIntervalSec: 30, DurationSec: 3600,
 	}
-	m1 := Run(cfg)
-	m2 := Run(cfg)
-	if m1 != m2 {
-		t.Errorf("same seed gave different metrics:\n%+v\n%+v", m1, m2)
+	// Loaded: brokers merge peer matches for every query, and the merged
+	// resources are then queried over the query agent's shared link, so
+	// any map-order dependence in that merge shows up as a moved
+	// response time.
+	loaded := Config{
+		Seed: 1999, Brokers: 8, Resources: 48, Strategy: Specialized,
+		MeanQueryIntervalSec: 5, DurationSec: 2 * 3600,
 	}
-	m3 := Run(Config{
-		Seed: 12, Brokers: 4, Resources: 16, Strategy: Specialized,
-		MeanQueryIntervalSec: 30, DurationSec: 3600,
-	})
-	if m1 == m3 {
+	for _, cfg := range []Config{base, loaded} {
+		m1 := Run(cfg)
+		m2 := Run(cfg)
+		if m1 != m2 {
+			t.Errorf("seed %d: same seed gave different metrics:\n%+v\n%+v", cfg.Seed, m1, m2)
+		}
+		if m1.InterBrokerMessages == 0 {
+			t.Errorf("seed %d: configuration forwarded no queries between brokers", cfg.Seed)
+		}
+	}
+	other := base
+	other.Seed = 12
+	if Run(base) == Run(other) {
 		t.Error("different seeds gave identical metrics (suspicious)")
 	}
 }
